@@ -38,18 +38,10 @@ ChannelArbiter::ChannelArbiter(sim::EventQueue &eq, const Gddr6Config &cfg,
 {
     IANUS_ASSERT(efficiency > 0.0 && efficiency <= 1.0,
                  "efficiency must be in (0, 1]");
+    IANUS_ASSERT(cfg.channels <= maxChannels,
+                 "a ChannelSet names at most 32 channels");
     perChannelRate_ = cfg.channelPeakBytesPerTick() * efficiency;
     exclusive_.assign(cfg.channels, 0);
-}
-
-unsigned
-ChannelArbiter::flowsOnChannel(unsigned ch) const
-{
-    unsigned n = 0;
-    for (const Flow &f : flows_)
-        if (f.channels & (1u << ch))
-            ++n;
-    return n;
 }
 
 void
@@ -68,20 +60,26 @@ void
 ChannelArbiter::recomputeRates()
 {
     // Per-channel share: capacity / flows on it; zero when exclusively
-    // reserved by a PIM macro command.
-    std::vector<double> share(cfg_.channels, 0.0);
-    for (unsigned ch = 0; ch < cfg_.channels; ++ch) {
+    // reserved by a PIM macro command. A flow's rate sums its channels'
+    // shares in ascending channel order.
+    std::array<unsigned, maxChannels> users{};
+    ChannelSet used = 0;
+    for (const Flow &f : flows_) {
+        used |= f.channels;
+        for (ChannelSet m = f.channels; m; m &= m - 1)
+            ++users[std::countr_zero(m)];
+    }
+    std::array<double, maxChannels> share{};
+    for (ChannelSet m = used; m; m &= m - 1) {
+        unsigned ch = static_cast<unsigned>(std::countr_zero(m));
         if (exclusive_[ch] > 0)
             continue;
-        unsigned n = flowsOnChannel(ch);
-        if (n > 0)
-            share[ch] = perChannelRate_ / static_cast<double>(n);
+        share[ch] = perChannelRate_ / static_cast<double>(users[ch]);
     }
     for (Flow &f : flows_) {
         f.rate = 0.0;
-        for (unsigned ch = 0; ch < cfg_.channels; ++ch)
-            if (f.channels & (1u << ch))
-                f.rate += share[ch];
+        for (ChannelSet m = f.channels; m; m &= m - 1)
+            f.rate += share[std::countr_zero(m)];
     }
 }
 
@@ -115,23 +113,29 @@ ChannelArbiter::rescheduleCompletion()
 void
 ChannelArbiter::completeFinished()
 {
-    std::vector<std::function<void()>> callbacks;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-        if (it->bytesLeft <= kBytesEpsilon) {
-            callbacks.push_back(std::move(it->onComplete));
-            it = flows_.erase(it);
-        } else {
-            ++it;
-        }
+    // Retire drained flows in place, keeping the survivors' order. The
+    // callbacks run after the sweep and may start new flows, so they run
+    // from a local that hands its capacity back afterwards.
+    std::vector<sim::SmallFn> done = std::move(finished_);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+        if (flows_[i].bytesLeft <= kBytesEpsilon)
+            done.push_back(std::move(flows_[i].onComplete));
+        else if (kept++ != i)
+            flows_[kept - 1] = std::move(flows_[i]);
     }
-    for (auto &cb : callbacks)
+    flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 flows_.end());
+    for (auto &cb : done)
         if (cb)
             cb();
+    done.clear();
+    finished_ = std::move(done);
 }
 
 ChannelArbiter::FlowId
 ChannelArbiter::startFlow(std::uint64_t bytes, ChannelSet channels,
-                          bool is_write, std::function<void()> on_complete)
+                          bool is_write, sim::SmallFn on_complete)
 {
     IANUS_ASSERT((channels & allChannels(cfg_)) == channels,
                  "flow uses channels outside the memory system");

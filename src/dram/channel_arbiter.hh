@@ -21,8 +21,8 @@
 #ifndef IANUS_DRAM_CHANNEL_ARBITER_HH
 #define IANUS_DRAM_CHANNEL_ARBITER_HH
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "dram/dram_params.hh"
@@ -61,7 +61,7 @@ class ChannelArbiter
      * @param on_complete  Fired from event context when the last byte moves.
      */
     FlowId startFlow(std::uint64_t bytes, ChannelSet channels, bool is_write,
-                     std::function<void()> on_complete);
+                     sim::SmallFn on_complete);
 
     /** Stall all flows on @p channels (PIM macro command entry). */
     void acquireExclusive(ChannelSet channels);
@@ -92,8 +92,11 @@ class ChannelArbiter
         ChannelSet channels;
         bool isWrite;
         double rate = 0.0; ///< bytes per tick, current share
-        std::function<void()> onComplete;
+        sim::SmallFn onComplete;
     };
+
+    /** Channels a ChannelSet can name. */
+    static constexpr unsigned maxChannels = 32;
 
     sim::EventQueue &eq_;
     Gddr6Config cfg_;
@@ -101,6 +104,8 @@ class ChannelArbiter
     double perChannelRate_; ///< bytes/tick after efficiency derating
 
     std::vector<Flow> flows_;
+    /** Callbacks of the flows one completion event retires (reused). */
+    std::vector<sim::SmallFn> finished_;
     std::vector<int> exclusive_;   ///< per-channel reservation depth
     Tick lastUpdate_ = 0;
     sim::EventId pendingEvent_ = 0;
@@ -115,7 +120,6 @@ class ChannelArbiter
     void recomputeRates();
     void rescheduleCompletion();
     void completeFinished();
-    unsigned flowsOnChannel(unsigned ch) const;
 };
 
 } // namespace ianus::dram

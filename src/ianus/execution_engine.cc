@@ -1,8 +1,8 @@
 #include "ianus/execution_engine.hh"
 
+#include <algorithm>
 #include <array>
 #include <bit>
-#include <memory>
 
 #include "common/logging.hh"
 #include "dram/channel_arbiter.hh"
@@ -34,7 +34,7 @@ class RunContext
           pimEngine_(cfg.mem, cfg.pimUnit), noc_(cfg.noc),
           dma_(noc_, cfg.mem),
           unitBusy_(cfg.cores),
-          startTick_(prog.size(), 0)
+          track_(prog.size())
     {
     }
 
@@ -71,8 +71,17 @@ class RunContext
     noc::Noc noc_;
     npu::DmaEngine dma_;
 
+    /** Per-command timing: issue tick, and for a GEMM that streams its
+     *  weights, the join of the compute and weight-flow parts. */
+    struct Track
+    {
+        Tick start = 0;
+        Tick joinAt = 0;           ///< latest part-done tick so far
+        std::uint8_t joinLeft = 0; ///< parts still running
+    };
+
     std::vector<std::array<bool, RunStats::numUnits>> unitBusy_;
-    std::vector<Tick> startTick_;
+    std::vector<Track> track_;
     dram::ChannelSet pimBusyMask_ = 0;
     dram::ChannelSet pimWaitMask_ = 0;
     RunStats stats_;
@@ -80,6 +89,8 @@ class RunContext
     /** In-flight command count and span-open timestamp per OpClass. */
     std::array<unsigned, RunStats::numClasses> classActive_{};
     std::array<Tick, RunStats::numClasses> classSpanStart_{};
+    /** Bit r set while class kAttributionOrder[r] has work in flight. */
+    unsigned activeRanks_ = 0;
     Tick lastAttr_ = 0;
 
     static std::size_t
@@ -105,19 +116,27 @@ class RunContext
         if (pumping_)
             return; // completions re-enter; the outer loop re-scans
         pumping_ = true;
+        // Only (core, unit) pairs with a non-empty ready FIFO are
+        // visited: dispatch from an empty FIFO fails with no side effect,
+        // and dispatching never makes a command ready, so skipping them
+        // keeps the visiting order — and every event — unchanged.
+        constexpr unsigned pim_bit =
+            npu::CommandScheduler::unitBit(UnitKind::Pim);
         bool progress = true;
         while (progress) {
             progress = false;
             // PIM pass first so DMA dispatch sees fresh wait masks.
             pimWaitMask_ = 0;
             for (std::uint16_t c = 0; c < cfg_.cores; ++c)
-                progress |= tryDispatchPim(c);
-            static constexpr UnitKind npu_units[] = {
-                UnitKind::MatrixUnit, UnitKind::VectorUnit,
-                UnitKind::DmaIn, UnitKind::DmaOut, UnitKind::Sync};
+                if (sched_.readyUnits(c) & pim_bit)
+                    progress |= tryDispatchPim(c);
+            // Then core-major over the NPU units in UnitKind order:
+            // matrix, vector, DMA in, DMA out, sync.
             for (std::uint16_t c = 0; c < cfg_.cores; ++c)
-                for (UnitKind unit : npu_units)
-                    progress |= tryDispatch(c, unit);
+                for (unsigned m = sched_.readyUnits(c) & ~pim_bit; m;
+                     m &= m - 1)
+                    progress |= tryDispatch(
+                        c, static_cast<UnitKind>(std::countr_zero(m)));
         }
         pumping_ = false;
     }
@@ -140,7 +159,7 @@ class RunContext
         }
         sched_.issue(*ready);
         unitBusy_[core][idx(UnitKind::Pim)] = true;
-        startTick_[*ready] = eq_.now();
+        track_[*ready].start = eq_.now();
         openSpan(cmd.opClass);
         pimBusyMask_ |= mask;
         arbiter_.acquireExclusive(mask);
@@ -198,50 +217,41 @@ class RunContext
         unitBusy_[core][idx(unit)] = true;
         if (holds_dma)
             unitBusy_[core][idx(UnitKind::DmaIn)] = true;
-        startTick_[*ready] = eq_.now();
+        track_[*ready].start = eq_.now();
         openSpan(cmd.opClass);
         begin(cmd);
         return true;
     }
 
     /**
-     * Exclusive-attribution priority: FC classes first (an instant under
-     * an FC belongs to the FC even if attention work overlaps it), then
-     * the attention pipeline, then vector work.
+     * Exclusive-attribution priority, highest first: FC classes (an
+     * instant under an FC belongs to the FC even if attention work
+     * overlaps it), then the attention pipeline, then vector work.
      */
-    static std::size_t
-    attributionRank(std::size_t cls)
+    static constexpr isa::OpClass kAttributionOrder[RunStats::numClasses] = {
+        isa::OpClass::FcQkv,     isa::OpClass::FfnAdd,
+        isa::OpClass::FcAttnAdd, isa::OpClass::LmHead,
+        isa::OpClass::Embedding, isa::OpClass::SelfAttention,
+        isa::OpClass::LayerNorm, isa::OpClass::Other};
+
+    static constexpr unsigned
+    attributionRank(isa::OpClass cls)
     {
-        using isa::OpClass;
-        switch (static_cast<OpClass>(cls)) {
-          case OpClass::FcQkv: return 0;
-          case OpClass::FfnAdd: return 1;
-          case OpClass::FcAttnAdd: return 2;
-          case OpClass::LmHead: return 3;
-          case OpClass::Embedding: return 4;
-          case OpClass::SelfAttention: return 5;
-          case OpClass::LayerNorm: return 6;
-          case OpClass::Other: return 7;
-        }
-        return 7;
+        unsigned r = 0;
+        while (kAttributionOrder[r] != cls)
+            ++r;
+        return r;
     }
 
     void
     attributeElapsed()
     {
         Tick now = eq_.now();
-        if (now > lastAttr_) {
-            std::size_t best = RunStats::numClasses;
-            std::size_t best_rank = ~std::size_t{0};
-            for (std::size_t i = 0; i < RunStats::numClasses; ++i) {
-                if (classActive_[i] && attributionRank(i) < best_rank) {
-                    best_rank = attributionRank(i);
-                    best = i;
-                }
-            }
-            if (best < RunStats::numClasses)
-                stats_.classExclusive[best] +=
-                    static_cast<double>(now - lastAttr_);
+        if (now > lastAttr_ && activeRanks_ != 0) {
+            auto best = static_cast<std::size_t>(
+                kAttributionOrder[std::countr_zero(activeRanks_)]);
+            stats_.classExclusive[best] +=
+                static_cast<double>(now - lastAttr_);
         }
         lastAttr_ = now;
     }
@@ -251,8 +261,10 @@ class RunContext
     {
         attributeElapsed();
         auto i = static_cast<std::size_t>(cls);
-        if (classActive_[i]++ == 0)
+        if (classActive_[i]++ == 0) {
             classSpanStart_[i] = eq_.now();
+            activeRanks_ |= 1u << attributionRank(cls);
+        }
     }
 
     void
@@ -261,9 +273,11 @@ class RunContext
         attributeElapsed();
         auto i = static_cast<std::size_t>(cls);
         IANUS_ASSERT(classActive_[i] > 0, "span underflow");
-        if (--classActive_[i] == 0)
+        if (--classActive_[i] == 0) {
             stats_.classSpan[i] += static_cast<double>(
                 eq_.now() - classSpanStart_[i]);
+            activeRanks_ &= ~(1u << attributionRank(cls));
+        }
     }
 
     void
@@ -284,25 +298,17 @@ class RunContext
             // Weight stream pipelined with compute: done when both the
             // flow and the compute are, plus one tile of pipeline fill.
             compute += mu_.tileFillTicks();
-            auto joint = std::make_shared<std::pair<int, Tick>>(2, 0);
-            auto part = [this, id, joint](Tick at) {
-                joint->second = std::max(joint->second, at);
-                if (--joint->first == 0) {
-                    Tick when = std::max(joint->second, eq_.now());
-                    eq_.schedule(when, [this, id] { finish(id); });
-                }
-            };
-            eq_.scheduleIn(compute,
-                           [this, part] { part(eq_.now()); });
+            track_[id].joinLeft = 2;
+            eq_.scheduleIn(compute, [this, id] { joinPart(id, eq_.now()); });
             Tick fixed = dma_.loadStartLatency();
             std::uint16_t core = cmd.core;
             arbiter_.startFlow(g->weightBytes, g->weightChannels, false,
-                               [this, part, fixed, core] {
+                               [this, id, fixed, core] {
                                    // Weight stream drained: the load DMA
                                    // engine frees up for queued loads.
                                    unitBusy_[core][idx(UnitKind::DmaIn)] =
                                        false;
-                                   part(eq_.now() + fixed);
+                                   joinPart(id, eq_.now() + fixed);
                                    pump();
                                });
             return;
@@ -343,6 +349,19 @@ class RunContext
         IANUS_PANIC("unhandled payload in command ", cmd.id);
     }
 
+    /** One part of a streamed-weight GEMM finished at @p at; the GEMM
+     *  finishes once both its compute and its weight flow are done. */
+    void
+    joinPart(std::uint32_t id, Tick at)
+    {
+        Track &t = track_[id];
+        t.joinAt = std::max(t.joinAt, at);
+        if (--t.joinLeft == 0) {
+            Tick when = std::max(t.joinAt, eq_.now());
+            eq_.schedule(when, [this, id] { finish(id); });
+        }
+    }
+
     /** Ring allgather/allreduce over PCIe (Section 7.1). */
     Tick
     allReduceTicks(std::uint64_t bytes) const
@@ -360,7 +379,7 @@ class RunContext
     finish(std::uint32_t id)
     {
         const isa::Command &cmd = prog_.at(id);
-        Tick dur = eq_.now() - startTick_[id];
+        Tick dur = eq_.now() - track_[id].start;
         stats_.busy(cmd.opClass) += static_cast<double>(dur);
         stats_.busy(cmd.unit) += static_cast<double>(dur);
         stats_.commands += 1.0;

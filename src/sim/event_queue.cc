@@ -7,15 +7,41 @@
 namespace ianus::sim
 {
 
+namespace
+{
+
+constexpr std::uint64_t kPhaseShift = 63;
+
+/** An EventId packs the slot generation over the slot index plus one,
+ *  so no id is 0. */
 EventId
-EventQueue::push(Tick when, std::uint8_t phase, SmallFn fn)
+makeId(std::uint32_t slot, std::uint32_t gen)
+{
+    return (static_cast<EventId>(gen) << 32) | (EventId{slot} + 1);
+}
+
+} // namespace
+
+EventId
+EventQueue::push(Tick when, std::uint64_t phase, SmallFn &&fn)
 {
     IANUS_ASSERT(when >= now_, "event scheduled in the past: ", when,
                  " < ", now_);
-    EventId id = nextId_++;
-    queue_.push(Entry{when, phase, id, std::move(fn)});
+    IANUS_ASSERT(static_cast<bool>(fn), "empty event callback");
+    auto slot = static_cast<std::uint32_t>(slots_.size());
+    if (freeSlots_.empty()) {
+        slots_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    Slot &s = slots_[slot];
+    s.fn = std::move(fn);
+    heap_.push_back(Key{when, (phase << kPhaseShift) | nextSeq_++, slot,
+                        s.gen});
+    std::push_heap(heap_.begin(), heap_.end(), later);
     ++liveEvents_;
-    return id;
+    return makeId(slot, s.gen);
 }
 
 EventId
@@ -30,55 +56,52 @@ EventQueue::scheduleEarly(Tick when, SmallFn fn)
     return push(when, 0, std::move(fn));
 }
 
-bool
-EventQueue::deschedule(EventId id)
+void
+EventQueue::popTop()
 {
-    // Lazy deletion: remember the id, skip it when popped. The cancelled
-    // list stays small because ids are dropped when their entries surface.
-    if (id == 0 || id >= nextId_)
-        return false;
-    if (isCancelled(id))
-        return false;
-    cancelled_.push_back(id);
-    if (liveEvents_ > 0)
-        --liveEvents_;
-    return true;
-}
-
-bool
-EventQueue::isCancelled(EventId id) const
-{
-    return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-           cancelled_.end();
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
 }
 
 void
-EventQueue::dropCancelled(EventId id)
+EventQueue::release(std::uint32_t slot)
 {
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-    if (it != cancelled_.end())
-        cancelled_.erase(it);
+    ++slots_[slot].gen;
+    freeSlots_.push_back(slot);
+    --liveEvents_;
+}
+
+bool
+EventQueue::deschedule(EventId id)
+{
+    const EventId low = id & 0xffffffffu;
+    if (low == 0 || low > slots_.size())
+        return false;
+    const auto slot = static_cast<std::uint32_t>(low - 1);
+    Slot &s = slots_[slot];
+    // A free slot holds no callable; a fired or cancelled event's slot
+    // has moved on to a later generation.
+    if (s.gen != static_cast<std::uint32_t>(id >> 32) || !s.fn)
+        return false;
+    s.fn = SmallFn{};
+    release(slot);
+    return true;
 }
 
 bool
 EventQueue::step()
 {
-    while (!queue_.empty()) {
-        // priority_queue::top() is const; the entry is popped right after,
-        // so moving the callable out (instead of copying the whole Entry)
-        // is safe and skips a heap-backed copy for large callables.
-        Entry &top = const_cast<Entry &>(queue_.top());
-        if (isCancelled(top.id)) {
-            EventId id = top.id;
-            queue_.pop();
-            dropCancelled(id);
-            continue;
-        }
+    while (!heap_.empty()) {
+        const Key top = heap_.front();
+        popTop();
+        if (stale(top))
+            continue; // cancelled
         IANUS_ASSERT(top.when >= now_, "time went backwards");
         now_ = top.when;
-        SmallFn fn = std::move(top.fn);
-        queue_.pop();
-        --liveEvents_;
+        // Move the callable out first: it may schedule events, which can
+        // reuse its slot or grow the slot table.
+        SmallFn fn = std::move(slots_[top.slot].fn);
+        release(top.slot);
         ++executed_;
         fn();
         return true;
@@ -89,15 +112,12 @@ EventQueue::step()
 Tick
 EventQueue::run(Tick limit)
 {
-    while (!queue_.empty()) {
-        const Entry &top = queue_.top();
-        if (isCancelled(top.id)) {
-            EventId id = top.id;
-            queue_.pop();
-            dropCancelled(id);
+    while (!heap_.empty()) {
+        if (stale(heap_.front())) {
+            popTop();
             continue;
         }
-        if (top.when > limit)
+        if (heap_.front().when > limit)
             break;
         step();
     }

@@ -12,8 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,7 +33,9 @@ using EventId = std::uint64_t;
  * indices; std::function heap-allocates many of them, and at millions of
  * events that allocation churn dominates the drain. Captures up to
  * `sboBytes` live inside the queue entry itself; larger callables fall
- * back to a single heap allocation.
+ * back to a single heap allocation. Trivially copyable captures (a
+ * `this` pointer plus scalars, the common case) move by a plain copy of
+ * the buffer and need no destructor call.
  */
 class SmallFn
 {
@@ -53,11 +55,13 @@ class SmallFn
                       std::is_nothrow_move_constructible_v<Fn>) {
             ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
             call_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-            destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
-            relocate_ = [](void *src, void *dst) {
-                ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
-                static_cast<Fn *>(src)->~Fn();
-            };
+            if constexpr (!std::is_trivially_copyable_v<Fn>) {
+                destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
+                relocate_ = [](void *src, void *dst) {
+                    ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
+                    static_cast<Fn *>(src)->~Fn();
+                };
+            }
         } else {
             heap_ = new Fn(std::forward<F>(f));
             call_ = [](void *p) { (*static_cast<Fn *>(p))(); };
@@ -100,7 +104,7 @@ class SmallFn
     void
     reset()
     {
-        if (call_)
+        if (destroy_)
             destroy_(heap_ ? heap_ : static_cast<void *>(buf_));
         heap_ = nullptr;
         call_ = nullptr;
@@ -117,8 +121,10 @@ class SmallFn
         if (o.heap_) {
             heap_ = o.heap_;
             o.heap_ = nullptr;
-        } else if (o.call_) {
+        } else if (o.relocate_) {
             o.relocate_(o.buf_, buf_);
+        } else if (o.call_) {
+            std::memcpy(buf_, o.buf_, sboBytes);
         }
         o.call_ = nullptr;
         o.destroy_ = nullptr;
@@ -138,6 +144,13 @@ class SmallFn
  * series of events up front (lowest ids -> first at tied ticks) can
  * instead schedule each one lazily from its predecessor's callback without
  * changing same-tick ordering against normally-scheduled events.
+ *
+ * Layout: the binary heap orders 24-byte POD keys; each key names a slot
+ * of a slot table that holds the callable, so heap sifts never move a
+ * SmallFn. Freed slots are reused. A slot's generation is bumped when it
+ * is freed (fired or cancelled), which turns every key and EventId still
+ * naming the old generation stale: cancelling is O(1) and a stale key is
+ * dropped when it surfaces.
  */
 class EventQueue
 {
@@ -152,7 +165,7 @@ class EventQueue
 
     /**
      * Schedule @p fn at absolute time @p when (>= now()).
-     * @return an id usable with deschedule().
+     * @return an id usable with deschedule(); never 0.
      */
     EventId schedule(Tick when, SmallFn fn);
 
@@ -192,35 +205,43 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
   private:
-    struct Entry
+    /** Heap entry: the firing order plus the slot holding the callable. */
+    struct Key
     {
         Tick when;
-        std::uint8_t phase;
-        EventId id;
-        SmallFn fn;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            if (phase != o.phase)
-                return phase > o.phase;
-            return id > o.id;
-        }
+        std::uint64_t order; ///< phase in the top bit, then sequence
+        std::uint32_t slot;
+        std::uint32_t gen;   ///< slot generation at scheduling time
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        queue_;
-    std::vector<EventId> cancelled_;
+    struct Slot
+    {
+        SmallFn fn;
+        std::uint32_t gen = 0;
+    };
+
+    /** Heap comparator: true when @p a fires after @p b. */
+    static bool
+    later(const Key &a, const Key &b)
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.order > b.order;
+    }
+
+    bool stale(const Key &k) const { return slots_[k.slot].gen != k.gen; }
+
+    std::vector<Key> heap_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;
-    EventId nextId_ = 1;
+    std::uint64_t nextSeq_ = 0;
     std::size_t liveEvents_ = 0;
     std::uint64_t executed_ = 0;
 
-    EventId push(Tick when, std::uint8_t phase, SmallFn fn);
-    bool isCancelled(EventId id) const;
-    void dropCancelled(EventId id);
+    EventId push(Tick when, std::uint64_t phase, SmallFn &&fn);
+    void popTop();
+    void release(std::uint32_t slot);
 };
 
 } // namespace ianus::sim

@@ -120,16 +120,16 @@ TEST(CommandScheduler, CompleteWithoutIssuePanics)
 
 /**
  * Property: random DAGs always drain — no deadlock, every command
- * completes exactly once, dependencies never violated.
+ * completes exactly once, dependencies never violated — and after every
+ * step the per-core ready masks name exactly the (core, unit) pairs
+ * whose peekReady() is non-empty. The core count is drawn from
+ * [@p min_cores, @p max_cores].
  */
-class RandomDagLiveness : public ::testing::TestWithParam<unsigned>
+void
+checkRandomDag(unsigned seed, unsigned min_cores, unsigned max_cores)
 {
-};
-
-TEST_P(RandomDagLiveness, DrainsCompletely)
-{
-    std::mt19937 rng(GetParam());
-    const unsigned cores = 1 + rng() % 4;
+    std::mt19937 rng(seed);
+    const unsigned cores = min_cores + rng() % (max_cores - min_cores + 1);
     const int n = 200;
 
     Program p;
@@ -152,6 +152,18 @@ TEST_P(RandomDagLiveness, DrainsCompletely)
     }
 
     CommandScheduler s(p, cores);
+    static const UnitKind all_units[] = {
+        UnitKind::MatrixUnit, UnitKind::VectorUnit, UnitKind::DmaIn,
+        UnitKind::DmaOut,     UnitKind::Pim,        UnitKind::Sync};
+    auto masks_agree = [&] {
+        for (std::uint16_t c = 0; c < cores; ++c)
+            for (UnitKind u : all_units)
+                EXPECT_EQ((s.readyUnits(c) & CommandScheduler::unitBit(u)) !=
+                              0,
+                          s.peekReady(c, u).has_value())
+                    << "core " << c << " unit " << toString(u);
+    };
+    masks_agree();
     std::vector<bool> done(n, false);
     int completed = 0;
     // Greedy executor: repeatedly issue+complete any ready command.
@@ -159,16 +171,16 @@ TEST_P(RandomDagLiveness, DrainsCompletely)
     while (progress) {
         progress = false;
         for (std::uint16_t c = 0; c < cores; ++c) {
-            for (UnitKind u : {UnitKind::MatrixUnit, UnitKind::VectorUnit,
-                               UnitKind::DmaIn, UnitKind::DmaOut,
-                               UnitKind::Pim, UnitKind::Sync}) {
+            for (UnitKind u : all_units) {
                 auto head = s.peekReady(c, u);
                 if (!head || !s.canIssue(c, u))
                     continue;
                 for (std::uint32_t dep : p.at(*head).deps)
                     EXPECT_TRUE(done[dep]) << "dep violation";
                 s.issue(*head);
+                masks_agree();
                 s.complete(*head);
+                masks_agree();
                 EXPECT_FALSE(done[*head]) << "double completion";
                 done[*head] = true;
                 ++completed;
@@ -180,7 +192,30 @@ TEST_P(RandomDagLiveness, DrainsCompletely)
     EXPECT_EQ(completed, n);
 }
 
+class RandomDagLiveness : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(RandomDagLiveness, DrainsCompletely)
+{
+    checkRandomDag(GetParam(), 1, 4);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagLiveness,
                          ::testing::Range(100u, 112u));
+
+// Core counts past any fixed-width packing of per-core unit masks
+// (SystemConfig::cores has no upper bound).
+class RandomDagLivenessManyCores : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(RandomDagLivenessManyCores, DrainsCompletely)
+{
+    checkRandomDag(GetParam(), 11, 40);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagLivenessManyCores,
+                         ::testing::Range(200u, 206u));
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "compiler/workload_builder.hh"
@@ -31,13 +32,20 @@ using compiler::AttnMapping;
 using compiler::BuildOptions;
 using compiler::SchedulingPolicy;
 
+/**
+ * The model name is held inline and the struct has no padding, so the
+ * value gtest prints for a point (and which the ctest name embeds) is
+ * the same in every build; a `const char *` here would print the
+ * literal's load address.
+ */
 struct SweepPoint
 {
-    const char *model;
+    char model[13];
     bool unified;
     SchedulingPolicy policy;
     AttnMapping attn;
 };
+static_assert(std::has_unique_object_representations_v<SweepPoint>);
 
 class ConfigSweep : public ::testing::TestWithParam<SweepPoint>
 {
@@ -146,9 +154,12 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-/** PAS never loses to naive scheduling on any evaluated point. */
+/**
+ * PAS never loses to naive scheduling on any evaluated point. The model
+ * is a std::string so the printed parameter carries no pointer value.
+ */
 class PolicySweep
-    : public ::testing::TestWithParam<std::tuple<const char *, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
 {
 };
 
@@ -315,8 +326,9 @@ TEST(ServingInvariantSweep, ConservationAcrossAllCombinations)
                                 << cell << " id " << r.id;
                             EXPECT_GE(r.startMs, r.arrivalMs) << cell;
                             EXPECT_GE(r.finishMs, r.startMs) << cell;
-                            if (r.preemptions == 0)
+                            if (r.preemptions == 0) {
                                 EXPECT_EQ(r.suspendedMs, 0.0) << cell;
+                            }
                             if (!preempt) {
                                 EXPECT_EQ(r.preemptions, 0u) << cell;
                                 EXPECT_EQ(r.suspendedMs, 0.0) << cell;
@@ -410,8 +422,9 @@ TEST(ServingInvariantSweep, KvCapacityPreservesConservation)
                 EXPECT_EQ(dispatched, trace.size() + rep.preemptions())
                     << cell;
                 EXPECT_GT(rep.kvPeakPressure, 0.0) << cell;
-                if (admission == KvAdmission::Queue)
+                if (admission == KvAdmission::Queue) {
                     EXPECT_EQ(rep.kvSpilledSegments, 0u) << cell;
+                }
             }
 }
 
@@ -635,8 +648,9 @@ TEST(ServingInvariantSweep, DisaggregatedConservationAcrossCells)
                         EXPECT_GT(r.kvTransferMs, 0.0)
                             << cell << " id " << r.id;
                         transfers += 1;
-                        if (!preempt)
+                        if (!preempt) {
                             EXPECT_EQ(r.preemptions, 0u) << cell;
+                        }
                         EXPECT_DOUBLE_EQ(r.serviceMs,
                                          r.finishMs - r.startMs -
                                              r.suspendedMs)
